@@ -1,13 +1,19 @@
 //! `ddl-cert`: machine-checkable certificate gate (xtask-style).
 //!
-//! Default mode runs all three verification passes (unsafe-pointer
-//! proof over `arch.rs`, lock-order graph vs. the pinned golden,
-//! static ulp error bounds) plus the seeded-mutation self-test, writes
-//! the versioned `ddl-cert` document, and exits non-zero if any pass
-//! fails. `--check` re-validates an existing document without
-//! re-running the proofs. `--demo-mutation` seeds one known violation
-//! and exits zero only if the verifier catches it — CI runs it
-//! expecting *failure to certify*, proving the gate can fail.
+//! Default mode runs the verification passes (lock-order graph vs. the
+//! pinned golden, static ulp error bounds), writes the versioned
+//! `ddl-cert` document, and exits non-zero if any pass fails. `--check`
+//! re-validates an existing document without re-running the proofs.
+//! `--demo-mutation` seeds one known violation and exits zero only if
+//! the gate catches it, proving the gate can fail:
+//!
+//! - `ptr-off-by-one` splices an `unsafe` raw-pointer load one `f64`
+//!   past a window into the real SIMD kernel file and requires
+//!   `ddl_lint`'s `no-unsafe` rule to flag it (and not to flag the
+//!   unmutated file); the kernel module's `#![forbid(unsafe_code)]`
+//!   would make the compiler reject the same edit;
+//! - `lock-inversion` requires the lock-order pass to report a cycle in
+//!   a seeded two-lock inversion fixture.
 //!
 //! ```sh
 //! cargo run --release -p ddl-analyze --bin ddl_cert
@@ -19,7 +25,6 @@
 
 use ddl_analyze::cert;
 use ddl_analyze::locks;
-use ddl_analyze::ptr::{self, MutationKind, PtrMutation};
 use ddl_analyze::{AnalysisReport, Severity};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -86,16 +91,11 @@ fn main() -> ExitCode {
         return match cert::check_cert_text(&text) {
             Ok(s) => {
                 eprintln!(
-                    "ddl-cert: {} valid — {} sites / {} kernels certified, \
-                     {} lock classes / {} edges acyclic, {} bounds, \
-                     {} mutations caught",
+                    "ddl-cert: {} valid — {} lock classes / {} edges acyclic, {} bounds",
                     path.display(),
-                    s.sites,
-                    s.kernels,
                     s.classes,
                     s.edges,
-                    s.bounds,
-                    s.mutations
+                    s.bounds
                 );
                 ExitCode::SUCCESS
             }
@@ -146,29 +146,37 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Seeds one known violation and reports whether the verifier caught
-/// it. Exits 0 *only if caught* — so CI asserts the gate can fail by
-/// expecting this command to succeed, and the certify run to fail,
-/// under the same seeded defect.
+/// Seeds one known violation and reports whether its gate caught it.
+/// Exits 0 *only if caught*, so CI, which expects success, fails when a
+/// gate has gone blind.
 fn run_demo(root: &std::path::Path, which: &str) -> ExitCode {
     match which {
         "ptr-off-by-one" => {
-            let source = match std::fs::read_to_string(root.join(ptr::PTR_TARGET)) {
+            let source = match std::fs::read_to_string(root.join(cert::SIMD_KERNELS)) {
                 Ok(s) => s,
                 Err(e) => {
-                    eprintln!("ddl-cert: cannot read {}: {e}", ptr::PTR_TARGET);
+                    eprintln!("ddl-cert: cannot read {}: {e}", cert::SIMD_KERNELS);
                     return ExitCode::from(2);
                 }
             };
-            let mutation = PtrMutation {
-                site: 0,
-                kind: MutationKind::OffsetByOne,
+            if cert::kernels_flagged_unsafe(&source) {
+                eprintln!(
+                    "ddl-cert: the unmutated {} is already flagged",
+                    cert::SIMD_KERNELS
+                );
+                return ExitCode::from(1);
+            }
+            let Some(seeded) = cert::seed_ptr_off_by_one(&source) else {
+                eprintln!("ddl-cert: no window load in {} to seed", cert::SIMD_KERNELS);
+                return ExitCode::from(2);
             };
-            if ptr::demo_mutation_caught(&source, mutation) {
-                eprintln!("ddl-cert: seeded off-by-one pointer offset was caught");
+            if cert::kernels_flagged_unsafe(&seeded) {
+                eprintln!(
+                    "ddl-cert: seeded off-by-one raw-pointer load was caught by lint/no-unsafe"
+                );
                 ExitCode::SUCCESS
             } else {
-                eprintln!("ddl-cert: seeded off-by-one pointer offset was NOT caught");
+                eprintln!("ddl-cert: seeded off-by-one raw-pointer load was NOT caught");
                 ExitCode::from(1)
             }
         }

@@ -1,8 +1,8 @@
-//! A tiny shared Rust tokenizer for the certificate passes.
+//! A tiny Rust tokenizer for the lock-order pass.
 //!
-//! [`crate::ptr`] and [`crate::locks`] both need to look at real source
-//! structure (statements, receiver chains, brace nesting), which the
-//! line-oriented lint scanner cannot provide. This module lexes
+//! [`crate::locks`] needs to look at real source structure (statements,
+//! receiver chains, brace nesting), which the line-oriented lint scanner
+//! cannot provide. This module lexes
 //! *scrubbed* source (string/char literals blanked, comments removed —
 //! see `lint::scrub`) into a flat token stream with line numbers. It is
 //! deliberately not a full lexer: scrubbing has already removed every
@@ -16,10 +16,9 @@ use std::fmt;
 pub(crate) enum Kind {
     /// Identifier or keyword.
     Ident,
-    /// Integer literal (value in [`Token::int`], suffix stripped).
-    Int,
-    /// Float literal (value irrelevant to the passes).
-    Float,
+    /// Number literal, suffix included (values are irrelevant to the
+    /// pass).
+    Num,
     /// A (scrubbed, empty) string literal.
     Str,
     /// A lifetime marker.
@@ -33,10 +32,8 @@ pub(crate) enum Kind {
 pub(crate) struct Token {
     /// Category.
     pub kind: Kind,
-    /// Literal text (for `Int`, without any type suffix).
+    /// Literal text.
     pub text: String,
-    /// Integer value for `Int` tokens.
-    pub int: u64,
     /// 1-based source line.
     pub line: usize,
 }
@@ -85,7 +82,6 @@ pub(crate) fn tokenize(scrubbed: &[String]) -> Vec<Token> {
                 out.push(Token {
                     kind: Kind::Ident,
                     text: line[start..i].to_string(),
-                    int: 0,
                     line: lineno,
                 });
                 continue;
@@ -103,7 +99,6 @@ pub(crate) fn tokenize(scrubbed: &[String]) -> Vec<Token> {
                 out.push(Token {
                     kind: Kind::Str,
                     text: String::new(),
-                    int: 0,
                     line: lineno,
                 });
                 continue;
@@ -118,7 +113,6 @@ pub(crate) fn tokenize(scrubbed: &[String]) -> Vec<Token> {
                 out.push(Token {
                     kind: Kind::Lifetime,
                     text: line[start..i].to_string(),
-                    int: 0,
                     line: lineno,
                 });
                 continue;
@@ -136,7 +130,6 @@ pub(crate) fn tokenize(scrubbed: &[String]) -> Vec<Token> {
                     out.push(Token {
                         kind: Kind::Punct,
                         text: op.to_string(),
-                        int: 0,
                         line: lineno,
                     });
                     i += op.len();
@@ -145,7 +138,6 @@ pub(crate) fn tokenize(scrubbed: &[String]) -> Vec<Token> {
                     out.push(Token {
                         kind: Kind::Punct,
                         text: (c as char).to_string(),
-                        int: 0,
                         line: lineno,
                     });
                     i += 1;
@@ -156,81 +148,30 @@ pub(crate) fn tokenize(scrubbed: &[String]) -> Vec<Token> {
     out
 }
 
-/// Lexes one number starting at byte `start`; returns the index past it.
-/// Handles decimal, hex (`0x6`), suffixes (`4usize`) and floats
-/// (`1.0`), and refuses to swallow the `..` of a range (`0..half`).
+/// Lexes one number literal starting at byte `start` (decimal or hex,
+/// with any fraction, exponent and type suffix) and returns the index
+/// past it. It refuses to swallow the `..` of a range (`0..half`).
 fn lex_number(line: &str, start: usize, lineno: usize, out: &mut Vec<Token>) -> usize {
     let b = line.as_bytes();
-    let mut i = start;
-    let mut is_float = false;
-    let mut value: u64 = 0;
-    let mut digits_end;
-    if b[i] == b'0' && i + 1 < b.len() && (b[i + 1] == b'x' || b[i + 1] == b'X') {
-        i += 2;
-        while i < b.len() && (b[i].is_ascii_hexdigit() || b[i] == b'_') {
-            if b[i] != b'_' {
-                value = value.wrapping_mul(16) + u64::from(hex_digit(b[i]));
-            }
+    let word_end = |mut i: usize| {
+        while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
             i += 1;
         }
-        digits_end = i;
-    } else {
-        while i < b.len() && (b[i].is_ascii_digit() || b[i] == b'_') {
-            if b[i] != b'_' {
-                value = value.wrapping_mul(10) + u64::from(b[i] - b'0');
-            }
-            i += 1;
+        i
+    };
+    let mut i = word_end(start);
+    if i + 1 < b.len() && b[i] == b'.' && b[i + 1].is_ascii_digit() {
+        i = word_end(i + 1);
+        if i + 1 < b.len() && matches!(b[i - 1], b'e' | b'E') && matches!(b[i], b'+' | b'-') {
+            i = word_end(i + 1);
         }
-        digits_end = i;
-        // A `.` begins a float only when not part of `..` or a method
-        // call on a literal.
-        if i < b.len() && b[i] == b'.' && i + 1 < b.len() && b[i + 1].is_ascii_digit() {
-            is_float = true;
-            i += 1;
-            while i < b.len() && (b[i].is_ascii_digit() || b[i] == b'_') {
-                i += 1;
-            }
-            // Exponent.
-            if i < b.len() && (b[i] == b'e' || b[i] == b'E') {
-                let mut j = i + 1;
-                if j < b.len() && (b[j] == b'+' || b[j] == b'-') {
-                    j += 1;
-                }
-                if j < b.len() && b[j].is_ascii_digit() {
-                    i = j;
-                    while i < b.len() && b[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-            }
-            digits_end = i;
-        }
-    }
-    // Type suffix (`usize`, `u64`, `f64`, ...).
-    let mut j = digits_end;
-    while j < b.len() && (b[j].is_ascii_alphanumeric() || b[j] == b'_') {
-        j += 1;
-    }
-    let suffix = &line[digits_end..j];
-    if suffix.starts_with('f') {
-        is_float = true;
     }
     out.push(Token {
-        kind: if is_float { Kind::Float } else { Kind::Int },
-        text: line[start..digits_end].to_string(),
-        int: value,
+        kind: Kind::Num,
+        text: line[start..i].to_string(),
         line: lineno,
     });
-    j
-}
-
-fn hex_digit(b: u8) -> u8 {
-    match b {
-        b'0'..=b'9' => b - b'0',
-        b'a'..=b'f' => b - b'a' + 10,
-        b'A'..=b'F' => b - b'A' + 10,
-        _ => 0,
-    }
+    i
 }
 
 #[cfg(test)]
@@ -243,14 +184,14 @@ mod tests {
 
     #[test]
     fn numbers_ranges_and_suffixes() {
-        let toks = lex("let mut half = 4usize; for j in 0..half { x(0x6, 1.0, 2); }");
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
-        assert!(texts.contains(&"4"));
-        assert!(texts.contains(&".."));
-        let hex = toks.iter().find(|t| t.text == "0x6").map(|t| t.int);
-        assert_eq!(hex, Some(6));
-        let float = toks.iter().find(|t| t.kind == Kind::Float).map(|t| &t.text);
-        assert_eq!(float.map(String::as_str), Some("1.0"));
+        let toks = lex("let mut half = 4usize; for j in 0..half { x(0x6, 1.0e-3, 2); }");
+        let nums: Vec<&str> = toks
+            .iter()
+            .filter(|t| t.kind == Kind::Num)
+            .map(|t| t.text.as_str())
+            .collect();
+        assert_eq!(nums, ["4usize", "0", "0x6", "1.0e-3", "2"]);
+        assert!(toks.iter().any(|t| t.is_punct("..")));
     }
 
     #[test]

@@ -1,301 +1,73 @@
 //! The single audited `unsafe` module of the workspace.
 //!
-//! Everything `unsafe` in the SIMD backend lives here and nowhere else
-//! (`ddl_lint` pins the allow-list to exactly this file). The safety
-//! argument is local and small:
+//! Memory safety of the vector kernels is carried by types, not by an
+//! argument about index arithmetic. The kernels live in the
+//! `#![forbid(unsafe_code)]` module `avx2` and reach memory only through
+//! [`load`] and [`store`], which take one fixed-size [`Window`] — a
+//! `&[Complex64; 2]` is exactly the 32 bytes of one `__m256d`, so no
+//! offset, lane count or base region can be wrong without failing to
+//! type-check. What types cannot express stays here:
 //!
-//! - The `#[target_feature]` kernels are only reachable through
-//!   [`dft_inplace_vector`], which gates them behind cached
-//!   `is_x86_feature_detected!` probes, so the required ISA is proven
-//!   present before the first vector instruction executes.
-//! - All loads/stores go through unaligned intrinsics
-//!   (`_mm256_loadu_pd` / `vld1q_f64`) over pointers derived from the
-//!   caller's slices; index arithmetic mirrors the portable loop in
-//!   `lib.rs`, whose bounds are `buf.len() = n` and `tw.len() = n - 1`
-//!   with `b + j + half < n` and `tw_off + j < n - 1` by construction
-//!   of the radix-2 schedule.
-//! - `ddl_num::Complex64` is `#[repr(C)] { re: f64, im: f64 }`, so a
-//!   `&[Complex64]` region reinterprets soundly as `2 * len` doubles.
-//!
-//! The kernels implement the same bit-reversed-input radix-2 DIT
-//! network as `dft_inplace_portable`; the only permitted numerical
-//! difference is FMA contraction in the butterfly multiply.
+//! - the ISA precondition: [`run_vector`] makes the one call into the
+//!   `#[target_feature]` kernels, after cached `is_x86_feature_detected!`
+//!   probes proved AVX2 and FMA present;
+//! - the window ↔ register reinterpretation: `ddl_num::Complex64` is
+//!   `#[repr(C)] { re: f64, im: f64 }`, so a window is four contiguous
+//!   doubles, and the unaligned intrinsics ask for no more alignment
+//!   than a `f64`'s.
 
-use ddl_num::Complex64;
+use crate::Kernel;
+
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m256d, _mm256_loadu_pd, _mm256_storeu_pd};
+
+/// Two complex points: the memory one 256-bit vector loads or stores.
+#[cfg(target_arch = "x86_64")]
+pub(crate) type Window = [ddl_num::Complex64; 2];
+
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(std::mem::size_of::<Window>() == std::mem::size_of::<__m256d>());
 
 /// Names the best vector path this build+host combination can take.
 pub(crate) fn detect_isa() -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return "avx2";
-        }
+    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        return "avx2";
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON (asimd) is baseline on aarch64.
-        return "neon";
-    }
-    #[allow(unreachable_code)]
     "portable"
 }
 
-/// Runs the in-place network through the host's vector unit. Returns
-/// `false` when no suitable unit exists so the caller can take the
-/// portable path instead; never touches `buf` in that case.
-pub(crate) fn dft_inplace_vector(buf: &mut [Complex64], tw: &[Complex64]) -> bool {
-    // Shadow assertions for the preconditions the `ddl-cert` pointer
-    // verifier proves the unsafe kernels rely on: a power-of-two
-    // length within the leaf cap, and a twiddle table with exactly one
-    // factor per butterfly (`n - 1` across all levels). Debug builds
-    // fail fast at the safe boundary instead of inside an intrinsic.
-    debug_assert!(buf.len() <= 1 || buf.len().is_power_of_two());
-    debug_assert!(buf.len() <= crate::MAX_SIMD_LEAF);
-    debug_assert_eq!(tw.len(), buf.len().saturating_sub(1));
+/// Runs `kernel` on the host's vector unit. Returns `false` when no
+/// suitable unit exists so the caller can take the portable path
+/// instead; never touches the kernel's buffers in that case.
+pub(crate) fn run_vector(kernel: Kernel<'_>) -> bool {
     #[cfg(target_arch = "x86_64")]
-    {
-        if crate::active_isa() == "avx2" {
-            // SAFETY: the AVX2 and FMA target features were verified at
-            // runtime by `detect_isa` (cached in `active_isa`).
-            unsafe { x86::dft_inplace_avx2(buf, tw) };
-            return true;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        neon::dft_inplace_neon(buf, tw);
+    if crate::active_isa() == "avx2" {
+        // SAFETY: `active_isa` is "avx2" only when `detect_isa` saw the
+        // AVX2 and FMA target features at runtime.
+        unsafe { crate::avx2::run(kernel) };
         return true;
     }
-    #[allow(unreachable_code)]
-    {
-        let _ = (buf, tw);
-        false
-    }
+    let _ = kernel;
+    false
 }
 
-/// Pointwise complex multiply `buf[i] *= factors[i]` through the vector
-/// unit. Returns `false` (buffer untouched) when no unit exists.
-pub(crate) fn twiddles_vector(buf: &mut [Complex64], factors: &[Complex64]) -> bool {
-    debug_assert!(buf.len() >= factors.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::active_isa() == "avx2" {
-            // SAFETY: AVX2/FMA verified at runtime by `detect_isa`
-            // (cached in `active_isa`); the length contract is asserted
-            // above and upheld by the safe caller in `lib.rs`.
-            unsafe { x86::apply_twiddles_avx2(buf, factors) };
-            return true;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        neon::apply_twiddles_neon(buf, factors);
-        return true;
-    }
-    #[allow(unreachable_code)]
-    {
-        let _ = (buf, factors);
-        false
-    }
-}
-
+/// Loads one window into a vector: lanes `[re0, im0, re1, im1]`.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::Complex64;
-    use std::arch::x86_64::*;
-
-    /// Radix-2 DIT over bit-reversed input, two complex points per
-    /// 256-bit vector, FMA butterflies. The first two stages (unit
-    /// twiddles and `{1, ∓i}`) are fused into a single in-register pass
-    /// over each block of four points; the remaining stages run the
-    /// general twiddled loop four points per iteration.
-    ///
-    /// # Safety
-    /// Caller must have verified the `avx2` and `fma` target features
-    /// at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn dft_inplace_avx2(buf: &mut [Complex64], tw: &[Complex64]) {
-        let n = buf.len();
-        // `Complex64` is `#[repr(C)] { re, im }`: the buffer is exactly
-        // `2 * n` contiguous doubles.
-        let p = buf.as_mut_ptr() as *mut f64;
-        let twp = tw.as_ptr() as *const f64;
-
-        if n == 2 {
-            let lo = buf[0];
-            let hi = buf[1];
-            buf[0] = Complex64::new(lo.re + hi.re, lo.im + hi.im);
-            buf[1] = Complex64::new(lo.re - hi.re, lo.im - hi.im);
-            return;
-        }
-        if n < 2 {
-            return;
-        }
-
-        // Fused stages half=1 and half=2 (blocks of four points).
-        //
-        // Stage 1 on a vector v = [a, b] (two complex lanes):
-        // [a+b, a-b] = fmadd(v, [1,1,-1,-1], swap128(v)).
-        //
-        // Stage 2 multiplies point 3 of each block by w1 = tw[2], which
-        // is ∓i by construction of the table (second-stage twiddles are
-        // exp(∓iπj/2), j<2); w1·z = (±z.im, ∓z.re) is a lane swap in
-        // the high half plus the sign pair (-w1.im, w1.im).
-        let s1 = _mm256_set_pd(-1.0, -1.0, 1.0, 1.0);
-        let w1_im = tw[2].im;
-        let s2 = _mm256_set_pd(w1_im, -w1_im, 1.0, 1.0);
-        let mut b = 0;
-        while b < n {
-            let va = _mm256_loadu_pd(p.add(2 * b));
-            let vb = _mm256_loadu_pd(p.add(2 * b + 4));
-            // Stage 1 butterflies within each vector.
-            let ua = _mm256_fmadd_pd(va, s1, _mm256_permute2f128_pd(va, va, 0x01));
-            let ub = _mm256_fmadd_pd(vb, s1, _mm256_permute2f128_pd(vb, vb, 0x01));
-            // Stage 2: hi' = [ub0, ub1 * w1] via high-half lane swap + sign.
-            let t = _mm256_mul_pd(_mm256_permute_pd(ub, 0x6), s2);
-            _mm256_storeu_pd(p.add(2 * b), _mm256_add_pd(ua, t));
-            _mm256_storeu_pd(p.add(2 * b + 4), _mm256_sub_pd(ua, t));
-            b += 4;
-        }
-
-        // General stages: half = 4, 8, ... with the full twiddle table,
-        // four points (two independent butterfly pairs) per iteration.
-        let mut half = 4usize;
-        let mut tw_off = 3usize; // 1 + 2 factors consumed by the fused pass
-        while half < n {
-            let len = half * 2;
-            let mut b = 0;
-            while b < n {
-                let mut j = 0;
-                while j < half {
-                    // Lanes hold [re0, im0, re1, im1].
-                    let w_a = _mm256_loadu_pd(twp.add(2 * (tw_off + j)));
-                    let w_b = _mm256_loadu_pd(twp.add(2 * (tw_off + j + 2)));
-                    let lo_a = _mm256_loadu_pd(p.add(2 * (b + j)));
-                    let lo_b = _mm256_loadu_pd(p.add(2 * (b + j + 2)));
-                    let hi_a = _mm256_loadu_pd(p.add(2 * (b + j + half)));
-                    let hi_b = _mm256_loadu_pd(p.add(2 * (b + j + half + 2)));
-                    // even lanes: hi.re*w.re - hi.im*w.im
-                    // odd  lanes: hi.im*w.re + hi.re*w.im
-                    let t_a = _mm256_fmaddsub_pd(
-                        hi_a,
-                        _mm256_movedup_pd(w_a),
-                        _mm256_mul_pd(_mm256_permute_pd(hi_a, 0x5), _mm256_permute_pd(w_a, 0xF)),
-                    );
-                    let t_b = _mm256_fmaddsub_pd(
-                        hi_b,
-                        _mm256_movedup_pd(w_b),
-                        _mm256_mul_pd(_mm256_permute_pd(hi_b, 0x5), _mm256_permute_pd(w_b, 0xF)),
-                    );
-                    _mm256_storeu_pd(p.add(2 * (b + j)), _mm256_add_pd(lo_a, t_a));
-                    _mm256_storeu_pd(p.add(2 * (b + j + 2)), _mm256_add_pd(lo_b, t_b));
-                    _mm256_storeu_pd(p.add(2 * (b + j + half)), _mm256_sub_pd(lo_a, t_a));
-                    _mm256_storeu_pd(p.add(2 * (b + j + half + 2)), _mm256_sub_pd(lo_b, t_b));
-                    j += 4;
-                }
-                b += len;
-            }
-            tw_off += half;
-            half = len;
-        }
-    }
-
-    /// Pointwise complex multiply `buf[i] *= factors[i]`, two points per
-    /// vector, with a scalar tail for odd lengths.
-    ///
-    /// # Safety
-    /// Caller must have verified the `avx2` and `fma` target features
-    /// at runtime, and `buf.len() >= factors.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn apply_twiddles_avx2(buf: &mut [Complex64], factors: &[Complex64]) {
-        let n = factors.len();
-        let p = buf.as_mut_ptr() as *mut f64;
-        let fp = factors.as_ptr() as *const f64;
-        let pairs = n / 2 * 2;
-        let mut i = 0;
-        while i < pairs {
-            let z = _mm256_loadu_pd(p.add(2 * i));
-            let w = _mm256_loadu_pd(fp.add(2 * i));
-            let t = _mm256_fmaddsub_pd(
-                z,
-                _mm256_movedup_pd(w),
-                _mm256_mul_pd(_mm256_permute_pd(z, 0x5), _mm256_permute_pd(w, 0xF)),
-            );
-            _mm256_storeu_pd(p.add(2 * i), t);
-            i += 2;
-        }
-        if pairs < n {
-            buf[pairs] *= factors[pairs];
-        }
-    }
+#[inline]
+#[target_feature(enable = "avx")]
+pub(crate) fn load(w: &Window) -> __m256d {
+    // SAFETY: `w` is 32 readable bytes (the const assertion above) and
+    // `loadu` has no alignment requirement.
+    unsafe { _mm256_loadu_pd(w.as_ptr().cast()) }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::Complex64;
-    use std::arch::aarch64::*;
-
-    /// Radix-2 DIT over bit-reversed input, one complex point per
-    /// 128-bit vector. NEON is baseline on aarch64, so no runtime
-    /// probe is needed and the entry point stays safe.
-    pub(crate) fn dft_inplace_neon(buf: &mut [Complex64], tw: &[Complex64]) {
-        let n = buf.len();
-        let p = buf.as_mut_ptr() as *mut f64;
-        let twp = tw.as_ptr() as *const f64;
-        let sign: [f64; 2] = [-1.0, 1.0];
-        // SAFETY: index arithmetic mirrors the portable loop
-        // (`b + j + half < n`, `tw_off + j < n - 1`); `Complex64` is
-        // `#[repr(C)]` so the region is `2 * n` doubles; NEON is a
-        // baseline aarch64 feature.
-        unsafe {
-            let vsign = vld1q_f64(sign.as_ptr());
-            let mut half = 1usize;
-            let mut tw_off = 0usize;
-            while half < n {
-                let len = half * 2;
-                let mut b = 0;
-                while b < n {
-                    for j in 0..half {
-                        let w = vld1q_f64(twp.add(2 * (tw_off + j)));
-                        let lo = vld1q_f64(p.add(2 * (b + j)));
-                        let hi = vld1q_f64(p.add(2 * (b + j + half)));
-                        let w_re = vdupq_laneq_f64(w, 0);
-                        let w_im = vdupq_laneq_f64(w, 1);
-                        let hi_sw = vextq_f64(hi, hi, 1);
-                        // [-hi.im*w.im, hi.re*w.im] + [hi.re, hi.im]*w.re
-                        let cross = vmulq_f64(vmulq_f64(hi_sw, w_im), vsign);
-                        let t = vfmaq_f64(cross, hi, w_re);
-                        vst1q_f64(p.add(2 * (b + j)), vaddq_f64(lo, t));
-                        vst1q_f64(p.add(2 * (b + j + half)), vsubq_f64(lo, t));
-                    }
-                    b += len;
-                }
-                tw_off += half;
-                half = len;
-            }
-        }
-    }
-
-    /// Pointwise complex multiply `buf[i] *= factors[i]`, one point per
-    /// 128-bit vector.
-    pub(crate) fn apply_twiddles_neon(buf: &mut [Complex64], factors: &[Complex64]) {
-        let p = buf.as_mut_ptr() as *mut f64;
-        let fp = factors.as_ptr() as *const f64;
-        let sign: [f64; 2] = [-1.0, 1.0];
-        // SAFETY: the caller guarantees `buf.len() >= factors.len()`;
-        // `Complex64` is `#[repr(C)]` so both regions are contiguous
-        // doubles; NEON is a baseline aarch64 feature.
-        unsafe {
-            let vsign = vld1q_f64(sign.as_ptr());
-            for i in 0..factors.len() {
-                let z = vld1q_f64(p.add(2 * i));
-                let w = vld1q_f64(fp.add(2 * i));
-                let w_re = vdupq_laneq_f64(w, 0);
-                let w_im = vdupq_laneq_f64(w, 1);
-                let z_sw = vextq_f64(z, z, 1);
-                let cross = vmulq_f64(vmulq_f64(z_sw, w_im), vsign);
-                vst1q_f64(p.add(2 * i), vfmaq_f64(cross, z, w_re));
-            }
-        }
-    }
+/// Stores one vector into a window.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx")]
+pub(crate) fn store(w: &mut Window, v: __m256d) {
+    // SAFETY: `w` is 32 writable bytes (the const assertion above) and
+    // `storeu` has no alignment requirement.
+    unsafe { _mm256_storeu_pd(w.as_mut_ptr().cast(), v) }
 }

@@ -3,17 +3,21 @@
 //! This crate lowers the same pow2 leaf sizes the scalar codelets in
 //! `ddl-kernels` cover (n ≤ 64) to an iterative radix-2 DIT network with
 //! precomputed bit-reversal and per-stage twiddle tables, then executes
-//! the butterfly stream through one of three code paths picked at
+//! the butterfly stream through one of two code paths picked at
 //! dispatch time:
 //!
 //! - **AVX2+FMA** on x86_64 (two complex points per `__m256d`),
-//! - **NEON** on aarch64 (one complex point per `float64x2_t`),
-//! - a **portable chunked** safe-Rust loop everywhere else.
+//! - a **portable** safe-Rust loop everywhere else, aarch64 included.
 //!
-//! All `unsafe` lives in the single audited [`arch`] module; this crate
-//! root denies `unsafe_code` and `ddl_lint` pins the allow-list to
-//! exactly `crates/backend-simd/src/arch.rs`. Feature detection happens
-//! once (cached) via `is_x86_feature_detected!`, never per butterfly.
+//! Both paths are safe Rust. The AVX2 kernels live in a
+//! `#![forbid(unsafe_code)]` module and touch memory only through
+//! fixed-size window loads and stores, so the compiler checks their
+//! bounds. The remaining `unsafe` — the window primitives and the one
+//! call into the `#[target_feature]` kernels — lives in the audited
+//! [`arch`] module; this crate root denies `unsafe_code` and `ddl_lint`
+//! pins the allow-list to exactly `crates/backend-simd/src/arch.rs`.
+//! Feature detection happens once (cached) via `is_x86_feature_detected!`,
+//! never per butterfly.
 //!
 //! Strided access is handled outside the kernels: callers hand in
 //! `(base, stride)` views and the wrapper gathers into a stack buffer in
@@ -28,6 +32,8 @@ use ddl_num::{Complex64, Direction};
 
 #[allow(unsafe_code)]
 mod arch;
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 /// Largest leaf size the SIMD backend lowers, matching the scalar
 /// codelet ceiling in `ddl-kernels`.
@@ -54,21 +60,21 @@ pub fn profitable_size(n: usize) -> bool {
     supported_size(n) && n >= MIN_PROFITABLE_LEAF && vector_unit_available()
 }
 
-/// The instruction set the dispatcher resolved on this host: `"avx2"`,
-/// `"neon"`, or `"portable"`. Cached after the first probe.
+/// The instruction set the dispatcher resolved on this host: `"avx2"`
+/// or `"portable"`. Cached after the first probe.
 pub fn active_isa() -> &'static str {
     static ISA: OnceLock<&'static str> = OnceLock::new();
     ISA.get_or_init(arch::detect_isa)
 }
 
-/// True when a vector unit (AVX2+FMA or NEON) is actually available at
+/// True when a vector unit (AVX2+FMA) is actually available at
 /// runtime; the portable fallback still runs everywhere when not.
 pub fn vector_unit_available() -> bool {
     active_isa() != "portable"
 }
 
 /// Bit-reversal permutation and per-stage twiddle tables for one leaf
-/// size, shared by every code path so all three agree on the network.
+/// size, shared by both code paths so they agree on the network.
 struct SizeTables {
     n: usize,
     bitrev: Vec<usize>,
@@ -123,11 +129,42 @@ fn tables(n: usize) -> &'static SizeTables {
     &all[n.trailing_zeros() as usize]
 }
 
+/// One call into the vector unit, see [`arch::run_vector`].
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) enum Kernel<'a> {
+    /// The in-place network of [`dft_inplace_portable`].
+    Leaf {
+        buf: &'a mut [Complex64],
+        tw: &'a [Complex64],
+    },
+    /// Pointwise `buf[i] *= factors[i]` over `factors.len()` points.
+    Twiddles {
+        buf: &'a mut [Complex64],
+        factors: &'a [Complex64],
+    },
+}
+
+/// The in-place network's length contract, checked once per call on
+/// every path: a power-of-two `n` within the leaf cap, and a twiddle
+/// table with exactly one factor per butterfly (`n - 1` across all
+/// levels).
+fn assert_leaf_contract(n: usize, tw_len: usize) {
+    assert!(
+        n <= 1 || (n.is_power_of_two() && n <= MAX_SIMD_LEAF),
+        "leaf network: n={n} is not a power of two up to {MAX_SIMD_LEAF}"
+    );
+    assert!(
+        tw_len == n.saturating_sub(1),
+        "leaf network: {tw_len} twiddles for n={n}"
+    );
+}
+
 /// Portable chunked radix-2 DIT over a bit-reversed in-place buffer.
-/// Kept in safe Rust; this is both the fallback path and the reference
-/// the arch kernels are conformance-tested against.
+/// This is both the fallback path and the reference the vector kernels
+/// are conformance-tested against.
 fn dft_inplace_portable(buf: &mut [Complex64], tw: &[Complex64]) {
     let n = buf.len();
+    assert_leaf_contract(n, tw.len());
     let mut half = 1usize;
     let mut tw_off = 0usize;
     while half < n {
@@ -151,7 +188,7 @@ fn dft_inplace_portable(buf: &mut [Complex64], tw: &[Complex64]) {
 
 /// Run the in-place network through the best available code path.
 fn dft_inplace_dispatch(buf: &mut [Complex64], tw: &[Complex64]) {
-    if !arch::dft_inplace_vector(buf, tw) {
+    if !arch::run_vector(Kernel::Leaf { buf, tw }) {
         dft_inplace_portable(buf, tw);
     }
 }
@@ -206,7 +243,10 @@ pub fn apply_twiddles_simd(buf: &mut [Complex64], base: usize, factors: &[Comple
     if window.len() < factors.len() {
         return false;
     }
-    arch::twiddles_vector(window, factors)
+    arch::run_vector(Kernel::Twiddles {
+        buf: window,
+        factors,
+    })
 }
 
 #[cfg(test)]
@@ -393,32 +433,26 @@ mod tests {
     #[test]
     fn isa_report_is_stable_and_known() {
         let isa = active_isa();
-        assert!(matches!(isa, "avx2" | "neon" | "portable"));
+        assert!(matches!(isa, "avx2" | "portable"));
         assert_eq!(isa, active_isa());
     }
 
-    /// The shadow assertions at the safe/unsafe boundary must actually
-    /// fire: a twiddle table that is too short for the buffer — the
-    /// exact precondition the `ddl-cert` pointer proof assumes — has to
-    /// panic in debug builds rather than reach an intrinsic.
+    /// The length contract must fault on every path, release builds
+    /// included: the window walk would otherwise stop at the shorter
+    /// operand and leave points untransformed without a trace.
     #[test]
-    #[cfg(debug_assertions)]
-    fn violated_kernel_precondition_panics_in_debug_builds() {
+    fn violated_kernel_precondition_panics() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let mut buf = signal(8);
-        let short_tw = signal(3); // an 8-point network needs 7 factors
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            arch::dft_inplace_vector(&mut buf, &short_tw);
-        }));
-        assert!(
-            result.is_err(),
-            "debug build accepted a 3-entry twiddle table for an 8-point buffer"
-        );
-        let mut odd = signal(6); // not a power of two
-        let tw = signal(5);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            arch::dft_inplace_vector(&mut odd, &tw);
-        }));
-        assert!(result.is_err(), "debug build accepted a non-pow2 length");
+        let cases = [
+            (8, 3, "a 3-entry twiddle table for an 8-point buffer"),
+            (6, 5, "a non-pow2 length"),
+            (128, 127, "a length over MAX_SIMD_LEAF"),
+        ];
+        for (n, tw_len, what) in cases {
+            let mut buf = signal(n);
+            let tw = signal(tw_len);
+            let result = catch_unwind(AssertUnwindSafe(|| dft_inplace_dispatch(&mut buf, &tw)));
+            assert!(result.is_err(), "leaf network accepted {what}");
+        }
     }
 }

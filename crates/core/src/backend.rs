@@ -16,9 +16,9 @@
 //!   `ddl-kernels` (the oracle every other backend must agree with),
 //! - [`BackendKind::Interp`] — the `ddl-codegen` DAG interpreter
 //!   evaluating the symbolic network directly (any leaf size),
-//! - [`BackendKind::Simd`] — `ddl-backend-simd`: AVX2 on x86_64 / NEON
-//!   on aarch64 picked by `target_feature` detection at dispatch time,
-//!   with a portable chunked path so every target runs all three.
+//! - [`BackendKind::Simd`] — `ddl-backend-simd`: AVX2 on x86_64 picked
+//!   by `target_feature` detection at dispatch time, with a portable
+//!   safe-Rust path so every target runs all three.
 //!
 //! Per-leaf sizes a backend does not lower (e.g. non-pow2 leaves under
 //! `Simd`) silently take the scalar kernel for that leaf; only a
@@ -266,7 +266,7 @@ pub fn backend_for(kind: BackendKind) -> &'static dyn ExecBackend {
 }
 
 /// The instruction set the SIMD backend dispatches to on this host
-/// (`"avx2"`, `"neon"`, or `"portable"`).
+/// (`"avx2"` or `"portable"`).
 pub fn simd_active_isa() -> &'static str {
     ddl_backend_simd::active_isa()
 }
@@ -356,6 +356,6 @@ mod tests {
 
     #[test]
     fn simd_isa_is_known() {
-        assert!(matches!(simd_active_isa(), "avx2" | "neon" | "portable"));
+        assert!(matches!(simd_active_isa(), "avx2" | "portable"));
     }
 }

@@ -315,7 +315,7 @@ fn selected_backend_honors_ddl_backend_env() {
 
 #[test]
 fn simd_isa_is_one_of_the_known_lowerings() {
-    assert!(matches!(simd_active_isa(), "avx2" | "neon" | "portable"));
+    assert!(matches!(simd_active_isa(), "avx2" | "portable"));
 }
 
 proptest! {
