@@ -67,13 +67,14 @@ pub fn collect_env() -> BenchEnv {
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchCase {
     /// Stable identifier baselines are matched on, e.g. `dft-ddl-n4096`
-    /// (scalar) or `dft-ddl-n4096-simd` (non-default backend).
+    /// (scalar) or `dft-ddl-n4096-simd`.
     pub id: String,
     /// `dft` | `wht` | `dft-batch` | `wisdom`.
     pub transform: String,
     /// `sdl` | `ddl`.
     pub strategy: String,
-    /// Execution backend the case ran on: `scalar` | `interp` | `simd`.
+    /// Execution backend the case ran on: `scalar` | `simd` (`interp` in
+    /// reports written while the DAG-interpreter lowering existed).
     /// Additive in schema version 1; absent in older reports (= scalar).
     pub backend: String,
     /// Transform size in points.
@@ -144,18 +145,12 @@ pub fn suite_log_sizes(quick: bool) -> Vec<u32> {
     }
 }
 
-/// Largest size the interpreter backend is benchmarked at in full mode:
-/// evaluating the expression network is orders slower than compiled
-/// leaves, so the big out-of-cache sizes would dominate suite wall time
-/// without adding information.
-const INTERP_MAX_N: usize = 1 << 12;
-
 /// Runs the pinned suite: every `(transform, strategy, size)` triple
 /// from [`suite_log_sizes`] on the scalar backend, the DDL DFT column
-/// repeated on the `simd` and `interp` backends (interpreter capped at
-/// [`INTERP_MAX_N`]), plus one batch-engine case and one wisdom-hit
-/// case. Plans use the analytical model so the *measured* quantity is
-/// execution, not planner noise.
+/// repeated on the `simd` backend, plus one batch-engine case (on the
+/// host's default lowering) and one wisdom-hit case. Plans use the
+/// analytical model so the *measured* quantity is execution, not planner
+/// noise.
 pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchReport, DdlError> {
     let mut cases = Vec::new();
     for &log in &suite_log_sizes(cfg.quick) {
@@ -165,14 +160,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchReport, DdlError> {
             cases.push(wht_case(n, strategy, cfg.repeats)?);
         }
         cases.push(dft_case(n, Strategy::Ddl, BackendKind::Simd, cfg.repeats)?);
-        if n <= INTERP_MAX_N {
-            cases.push(dft_case(
-                n,
-                Strategy::Ddl,
-                BackendKind::Interp,
-                cfg.repeats,
-            )?);
-        }
     }
     cases.push(batch_case(cfg.repeats)?);
     cases.push(wisdom_case(cfg.repeats)?);
@@ -304,7 +291,7 @@ fn batch_case(repeats: u32) -> Result<BenchCase, DdlError> {
         id: format!("dft-batch-n{n}-s{BATCH_SIGNALS}-t{BATCH_THREADS}"),
         transform: "dft-batch".into(),
         strategy: Strategy::Ddl.label().into(),
-        backend: BackendKind::Scalar.label().into(),
+        backend: plan.backend().label().into(),
         n,
         repeats,
         median_ns,
@@ -753,15 +740,14 @@ mod tests {
         };
         let report = run_suite(&cfg).unwrap();
         assert!(report.quick);
-        // 3 sizes x (2 transforms x 2 strategies + simd + interp)
-        // + batch + wisdom
-        assert_eq!(report.cases.len(), 20);
+        // 3 sizes x (2 transforms x 2 strategies + simd) + batch + wisdom
+        assert_eq!(report.cases.len(), 17);
         assert!(report.cases.iter().all(|c| c.median_ns > 0.0));
         assert!(report
             .cases
             .iter()
             .any(|c| c.transform == "dft-batch" || c.transform == "wisdom"));
-        for backend in ["scalar", "interp", "simd"] {
+        for backend in ["scalar", "simd"] {
             assert!(
                 report.cases.iter().any(|c| c.backend == backend),
                 "suite must cover the {backend} backend"
@@ -770,7 +756,12 @@ mod tests {
         // Backend-tagged ids stay distinct from the scalar baseline ids.
         assert!(report.cases.iter().any(|c| c.id == "dft-ddl-n256"));
         assert!(report.cases.iter().any(|c| c.id == "dft-ddl-n256-simd"));
-        assert!(report.cases.iter().any(|c| c.id == "dft-ddl-n256-interp"));
+        let batch = report.cases.iter().find(|c| c.transform == "dft-batch");
+        assert_eq!(
+            batch.map(|c| c.backend.as_str()),
+            Some(BackendKind::selected().label()),
+            "the batch case reports the lowering it ran on"
+        );
         let parsed = BenchReport::parse(&report.to_pretty_json()).unwrap();
         assert_eq!(parsed.cases.len(), report.cases.len());
     }

@@ -68,7 +68,6 @@ use crate::obs::{
 use crate::tree::Tree;
 use crate::DFT_POINT_BYTES;
 use ddl_cachesim::{MemoryTracer, NullTracer};
-use ddl_kernels::{apply_twiddles, dft_leaf_strided};
 use ddl_num::{Complex64, DdlError, Direction, TwiddleTable};
 
 /// Errors from plan construction.
@@ -187,14 +186,15 @@ pub struct DftPlan {
 }
 
 impl DftPlan {
-    /// Compiles `tree` for the given direction with the process-default
-    /// execution backend ([`BackendKind::selected`]).
+    /// Compiles `tree` for the given direction with the host's execution
+    /// backend ([`BackendKind::selected`]).
     pub fn new(tree: Tree, dir: Direction) -> Result<DftPlan, PlanError> {
         DftPlan::with_backend(tree, dir, BackendKind::selected())
     }
 
     /// Compiles `tree` for the given direction and an explicit leaf
-    /// execution backend.
+    /// execution backend — the only way to pick one, used to run the
+    /// `Scalar` oracle beside the host's default.
     pub fn with_backend(
         tree: Tree,
         dir: Direction,
@@ -676,7 +676,7 @@ fn exec<T: MemoryTracer, S: Sink>(
 
                 // Twiddle pass over t2 (table laid out to match).
                 let t0 = stage_start::<S>();
-                twiddle_pass(be, t2, tw);
+                be.apply_twiddles(t2, 0, tw.as_slice());
                 stage_end(sink, Stage::Twiddle, t0, n as u64);
                 if T::ENABLED {
                     trace_twiddle(
@@ -751,7 +751,7 @@ fn exec<T: MemoryTracer, S: Sink>(
                 }
 
                 let t0 = stage_start::<S>();
-                twiddle_pass(be, t, tw);
+                be.apply_twiddles(t, 0, tw.as_slice());
                 stage_end(sink, Stage::Twiddle, t0, n as u64);
                 if T::ENABLED {
                     trace_twiddle(
@@ -795,8 +795,7 @@ fn exec<T: MemoryTracer, S: Sink>(
 }
 
 /// Executes one leaf codelet through the effective backend and emits
-/// its trace. The scalar path keeps its direct (statically dispatched)
-/// call so the default backend costs nothing extra per leaf.
+/// its trace.
 #[allow(clippy::too_many_arguments)]
 fn leaf<T: MemoryTracer, S: Sink>(
     n: usize,
@@ -810,13 +809,7 @@ fn leaf<T: MemoryTracer, S: Sink>(
     sink: &mut S,
 ) {
     let t0 = stage_start::<S>();
-    match be {
-        BackendKind::Scalar => {
-            dft_leaf_strided(n, dir, x, sv.base, sv.stride, y, dv.base, dv.stride)
-        }
-        other => backend::backend_for(other)
-            .leaf_dft(n, dir, x, sv.base, sv.stride, y, dv.base, dv.stride),
-    }
+    be.leaf_dft(n, dir, x, sv.base, sv.stride, y, dv.base, dv.stride);
     stage_end(sink, Stage::Leaf, t0, n as u64);
     if T::ENABLED {
         for i in 0..n {
@@ -825,15 +818,6 @@ fn leaf<T: MemoryTracer, S: Sink>(
         for j in 0..n {
             tr.write(dv.elem_addr(j), DFT_POINT_BYTES as u32);
         }
-    }
-}
-
-/// Applies the inter-stage twiddle pass through the effective backend.
-/// Like [`leaf`], the scalar path keeps its direct kernel call.
-fn twiddle_pass(be: BackendKind, buf: &mut [Complex64], tw: &TwiddleTable) {
-    match be {
-        BackendKind::Scalar => apply_twiddles(buf, 0, tw),
-        other => backend::backend_for(other).apply_twiddles(buf, 0, tw.as_slice()),
     }
 }
 

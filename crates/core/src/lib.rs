@@ -76,7 +76,7 @@ pub use attrib::{
     attribute_dft, attribute_wht, classify_empirical, classify_model, AttributionReport,
     AttributionRun, CaseClass, NodeAttribution, ATTRIBUTION_SCHEMA, ATTRIBUTION_VERSION,
 };
-pub use backend::{backend_for, simd_active_isa, BackendKind, ExecBackend};
+pub use backend::{backend_for, simd_active_isa, BackendKind};
 pub use calibrate::{
     calibrate_dft, calibrate_wht, CalibrationCase, CalibrationConfig, CalibrationReport,
     StageCalibration, CALIBRATION_SCHEMA, CALIBRATION_VERSION,

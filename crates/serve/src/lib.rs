@@ -13,9 +13,8 @@
 //! One request per line, one response line per request:
 //!
 //! ```text
-//! plan dft 1024 ddl [backend=simd]      → ok plan dft n=1024 strategy=ddl cached=… backend=… tree=ct(…)
-//! exec dft 1024 ddl [deadline_ms=50] [backend=simd]
-//!                                       → ok exec dft n=1024 dc=1024 backend=… wall_ns=…
+//! plan dft 1024 ddl                     → ok plan dft n=1024 strategy=ddl cached=… backend=… tree=ct(…)
+//! exec dft 1024 ddl [deadline_ms=50]    → ok exec dft n=1024 dc=1024 backend=… wall_ns=…
 //! exec dft ct(16, ct(16, 16)) [deadline_ms=50]
 //!                                       → ok exec dft n=4096 dc=4096 backend=… wall_ns=…
 //! exec wht 256 sdl                      → ok exec wht n=256 dc=256 backend=… wall_ns=…
@@ -24,10 +23,11 @@
 //! telemetry text                        → Prometheus-style text exposition
 //! ```
 //!
-//! The optional trailing `backend=<scalar|interp|simd>` token selects
-//! the DFT leaf execution backend (see [`ddl_core::backend`]); absent,
-//! requests use the process default (`DDL_BACKEND` or `scalar`). It
-//! combines with `deadline_ms=` in either order.
+//! The `backend=` field of a response reports the lowering the request
+//! ran on: the host's DFT backend ([`BackendKind::selected`]: `simd` on
+//! AVX2 hosts, `scalar` elsewhere) or `scalar` for the WHT. Clients
+//! cannot choose it; a request carrying a `backend=` token is a parse
+//! error.
 //!
 //! Executions run over an all-ones synthetic input and report the DC
 //! bin, so a client can verify the transform end to end without
@@ -125,8 +125,6 @@ pub enum Request {
         n: usize,
         /// Search strategy.
         strategy: Strategy,
-        /// Leaf execution backend the compiled plan dispatches to.
-        backend: BackendKind,
     },
     /// Execute over a synthetic all-ones input via an engine-cached plan.
     ExecPlanned {
@@ -138,8 +136,6 @@ pub enum Request {
         strategy: Strategy,
         /// Per-request deadline override.
         deadline: Option<Duration>,
-        /// Leaf execution backend.
-        backend: BackendKind,
     },
     /// Execute an explicit factorization-tree expression.
     ExecExpr {
@@ -149,8 +145,6 @@ pub enum Request {
         expr: String,
         /// Per-request deadline override.
         deadline: Option<Duration>,
-        /// Leaf execution backend.
-        backend: BackendKind,
     },
     /// Report service and engine counters.
     Stats,
@@ -162,15 +156,22 @@ pub enum Request {
     },
 }
 
+/// The lowering a request of `kind` runs on: the host's DFT backend, or
+/// `scalar` for the WHT, whose executor has no backend dispatch.
+fn backend_label(kind: TransformKind) -> &'static str {
+    match kind {
+        TransformKind::Dft(_) => BackendKind::selected().label(),
+        TransformKind::Wht => BackendKind::Scalar.label(),
+    }
+}
+
 /// `(op, kind, backend)` histogram labels for a request; `-` marks a
 /// dimension the op does not have.
 fn request_labels(request: &Request) -> (&'static str, String, String) {
     match request {
-        Request::Plan { kind, backend, .. } => {
-            ("plan", kind.label().into(), backend.label().into())
-        }
-        Request::ExecPlanned { kind, backend, .. } | Request::ExecExpr { kind, backend, .. } => {
-            ("exec", kind.label().into(), backend.label().into())
+        Request::Plan { kind, .. } => ("plan", kind.label().into(), backend_label(*kind).into()),
+        Request::ExecPlanned { kind, .. } | Request::ExecExpr { kind, .. } => {
+            ("exec", kind.label().into(), backend_label(*kind).into())
         }
         Request::Stats => ("meta", "stats".into(), "-".into()),
         Request::Telemetry { .. } => ("meta", "telemetry".into(), "-".into()),
@@ -201,33 +202,16 @@ fn parse_strategy(tok: &str) -> Result<Strategy, DdlError> {
     }
 }
 
-fn parse_backend(tok: &str) -> Result<BackendKind, DdlError> {
-    BackendKind::parse(tok).ok_or_else(|| {
-        parse_err(
-            0,
-            format!("unknown backend {tok:?} (want scalar|interp|simd)"),
-        )
-    })
-}
-
-/// Pops a trailing `backend=<scalar|interp|simd>` token, if present.
-/// Absent, callers fall back to the process-default backend
-/// ([`BackendKind::selected`]), keeping old clients byte-compatible.
-fn pop_backend(toks: &mut Vec<&str>) -> Result<Option<BackendKind>, DdlError> {
-    match toks.last() {
-        Some(last) if last.starts_with("backend=") => {
-            let backend = parse_backend(&last["backend=".len()..])?;
-            toks.pop();
-            Ok(Some(backend))
-        }
-        _ => Ok(None),
-    }
-}
-
 /// Parses one wire line into a [`Request`].
 pub fn parse_request(line: &str) -> Result<Request, DdlError> {
     let line = line.trim();
     let mut toks: Vec<&str> = line.split_whitespace().collect();
+    if let Some(tok) = toks.iter().find(|t| t.starts_with("backend=")) {
+        return Err(parse_err(
+            0,
+            format!("{tok:?}: the backend is chosen from the host's ISA, not per request"),
+        ));
+    }
     match toks.first().copied() {
         Some("stats") => Ok(Request::Stats),
         Some("telemetry") => match toks.as_slice() {
@@ -236,37 +220,24 @@ pub fn parse_request(line: &str) -> Result<Request, DdlError> {
             _ => Err(parse_err(0, "usage: telemetry [text]")),
         },
         Some("plan") => {
-            let backend = pop_backend(&mut toks)?.unwrap_or_else(BackendKind::selected);
             if toks.len() != 4 {
-                return Err(parse_err(
-                    0,
-                    "usage: plan <dft|wht> <n> <sdl|ddl> [backend=B]",
-                ));
+                return Err(parse_err(0, "usage: plan <dft|wht> <n> <sdl|ddl>"));
             }
             let kind = parse_kind(toks[1])?;
             let n: usize = toks[2]
                 .parse()
                 .map_err(|_| parse_err(0, format!("bad size {:?}", toks[2])))?;
             let strategy = parse_strategy(toks[3])?;
-            Ok(Request::Plan {
-                kind,
-                n,
-                strategy,
-                backend,
-            })
+            Ok(Request::Plan { kind, n, strategy })
         }
         Some("exec") => {
             if toks.len() < 3 {
                 return Err(parse_err(
                     0,
-                    "usage: exec <dft|wht> (<n> <sdl|ddl> | <tree-expr>) \
-                     [deadline_ms=K] [backend=B]",
+                    "usage: exec <dft|wht> (<n> <sdl|ddl> | <tree-expr>) [deadline_ms=K]",
                 ));
             }
             let kind = parse_kind(toks[1])?;
-            // `deadline_ms=` and `backend=` are both trailing options;
-            // accept them in either order.
-            let mut backend = pop_backend(&mut toks)?;
             let deadline = match toks.last() {
                 Some(last) if last.starts_with("deadline_ms=") => {
                     let ms: u64 = last["deadline_ms=".len()..]
@@ -277,10 +248,6 @@ pub fn parse_request(line: &str) -> Result<Request, DdlError> {
                 }
                 _ => None,
             };
-            if backend.is_none() {
-                backend = pop_backend(&mut toks)?;
-            }
-            let backend = backend.unwrap_or_else(BackendKind::selected);
             let rest = &toks[2..];
             if rest.is_empty() {
                 return Err(parse_err(0, "exec: missing size or tree expression"));
@@ -295,7 +262,6 @@ pub fn parse_request(line: &str) -> Result<Request, DdlError> {
                         n,
                         strategy,
                         deadline,
-                        backend,
                     });
                 }
             }
@@ -307,7 +273,6 @@ pub fn parse_request(line: &str) -> Result<Request, DdlError> {
                 kind,
                 expr,
                 deadline,
-                backend,
             })
         }
         Some(other) => Err(parse_err(0, format!("unknown command {other:?}"))),
@@ -948,17 +913,11 @@ fn run_request(
     match request {
         // Both answered at admission; a queue slot never sees them.
         Request::Stats | Request::Telemetry { .. } => Ok(String::new()),
-        Request::Plan {
-            kind,
-            n,
-            strategy,
-            backend,
-        } => {
+        Request::Plan { kind, n, strategy } => {
             let key = PlanKey {
                 kind: *kind,
                 n: *n,
                 strategy: *strategy,
-                backend: *backend,
             };
             let plan_started = Instant::now();
             let (artifact, cached) = inner.engine.plan_observed(key)?;
@@ -974,21 +933,16 @@ fn run_request(
                 kind.label(),
                 strategy.label(),
                 cached,
-                backend.label()
+                backend_label(*kind)
             ))
         }
         Request::ExecPlanned {
-            kind,
-            n,
-            strategy,
-            backend,
-            ..
+            kind, n, strategy, ..
         } => {
             let key = PlanKey {
                 kind: *kind,
                 n: *n,
                 strategy: *strategy,
-                backend: *backend,
             };
             let plan_started = Instant::now();
             let (artifact, cached) = inner.engine.plan_observed(key)?;
@@ -1004,16 +958,11 @@ fn run_request(
             Ok(format!(
                 "ok exec {} n={n} dc={dc} backend={} wall_ns={}",
                 kind.label(),
-                backend.label(),
+                backend_label(*kind),
                 phases.execute_ns
             ))
         }
-        Request::ExecExpr {
-            kind,
-            expr,
-            backend,
-            ..
-        } => {
+        Request::ExecExpr { kind, expr, .. } => {
             // Parsing and compiling the explicit tree is this form's
             // plan phase; it never consults the engine cache.
             let plan_started = Instant::now();
@@ -1024,9 +973,7 @@ fn run_request(
                 Wht(WhtPlan),
             }
             let compiled = match kind {
-                TransformKind::Dft(dir) => {
-                    Compiled::Dft(DftPlan::with_backend(tree, *dir, *backend)?)
-                }
+                TransformKind::Dft(dir) => Compiled::Dft(DftPlan::new(tree, *dir)?),
                 TransformKind::Wht => Compiled::Wht(WhtPlan::new(tree)?),
             };
             phases.plan_ns = plan_started.elapsed().as_nanos() as u64;
@@ -1039,7 +986,7 @@ fn run_request(
             Ok(format!(
                 "ok exec {} n={n} dc={dc} backend={} wall_ns={}",
                 kind.label(),
-                backend.label(),
+                backend_label(*kind),
                 phases.execute_ns
             ))
         }
@@ -1083,7 +1030,6 @@ mod tests {
                 kind: TransformKind::Dft(Direction::Forward),
                 n: 1024,
                 strategy: Strategy::Ddl,
-                backend: BackendKind::selected(),
             })
         );
         assert_eq!(
@@ -1093,7 +1039,6 @@ mod tests {
                 n: 256,
                 strategy: Strategy::Sdl,
                 deadline: Some(Duration::from_millis(50)),
-                backend: BackendKind::selected(),
             })
         );
         match parse_request("exec dft ct(16, 16)") {
@@ -1104,44 +1049,20 @@ mod tests {
             parse_request("exec dft ct(16,"),
             Err(DdlError::Parse { .. })
         ));
-        // The trailing backend option composes with deadline_ms in
-        // either order and is validated at parse time.
-        assert_eq!(
-            parse_request("plan dft 256 sdl backend=simd"),
-            Ok(Request::Plan {
-                kind: TransformKind::Dft(Direction::Forward),
-                n: 256,
-                strategy: Strategy::Sdl,
-                backend: BackendKind::Simd,
-            })
-        );
+        // The lowering is the host's, not the client's: a `backend=`
+        // token is rejected, never silently ignored.
         for line in [
-            "exec dft 64 ddl deadline_ms=50 backend=interp",
-            "exec dft 64 ddl backend=interp deadline_ms=50",
+            "plan dft 256 sdl backend=avx2",
+            "plan dft 256 sdl backend=simd",
+            "exec dft 64 ddl deadline_ms=50 backend=scalar",
+            "exec dft 64 ddl backend=simd deadline_ms=50",
+            "exec dft ct(8, 8) backend=simd",
         ] {
-            assert_eq!(
-                parse_request(line),
-                Ok(Request::ExecPlanned {
-                    kind: TransformKind::Dft(Direction::Forward),
-                    n: 64,
-                    strategy: Strategy::Ddl,
-                    deadline: Some(Duration::from_millis(50)),
-                    backend: BackendKind::Interp,
-                }),
+            assert!(
+                matches!(parse_request(line), Err(DdlError::Parse { .. })),
                 "line {line:?}"
             );
         }
-        match parse_request("exec dft ct(8, 8) backend=simd") {
-            Ok(Request::ExecExpr { expr, backend, .. }) => {
-                assert_eq!(expr, "ct(8, 8)");
-                assert_eq!(backend, BackendKind::Simd);
-            }
-            other => panic!("want ExecExpr, got {other:?}"),
-        }
-        assert!(matches!(
-            parse_request("plan dft 256 sdl backend=avx2"),
-            Err(DdlError::Parse { .. })
-        ));
         assert!(matches!(
             parse_request("frobnicate"),
             Err(DdlError::Parse { .. })

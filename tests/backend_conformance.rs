@@ -1,22 +1,22 @@
-//! Cross-backend conformance: every execution backend must agree with
-//! the `Scalar` oracle on every plan shape the planner emits.
+//! Cross-backend conformance: the `Simd` lowering must agree with the
+//! `Scalar` oracle on every plan shape the planner emits.
 //!
-//! The tentpole contract (DESIGN.md §11): `Interp` and `Simd` are
-//! alternative lowerings of the same verified codelet DAGs, so their
-//! output may differ from the generated scalar codelets only by
-//! floating-point reassociation — bounded here by a ulp-scaled
-//! per-element tolerance, not a loose RMS norm. The suite sweeps
+//! The contract (DESIGN.md §11): `Simd` is an alternative lowering of
+//! the same verified codelet DAGs, so its output may differ from the
+//! generated scalar codelets only by floating-point reassociation —
+//! bounded here by a ulp-scaled per-element tolerance, not a loose RMS
+//! norm. The suite sweeps
 //!
-//! * sizes `2^1 .. 2^12` (and a larger spot check) under both layout
-//!   regimes — DDL planning with reorganization nodes and SDL static
-//!   layouts — in both directions,
+//! * sizes `2^1 .. 2^12` (and spot checks to `2^20`, the size the repo
+//!   benchmark runs) under both layout regimes — DDL planning with
+//!   reorganization nodes and SDL static layouts — in both directions,
 //! * misaligned views: odd element bases (16-byte but not 32-byte
 //!   aligned, exercising the unaligned SIMD load/store paths) with
 //!   non-unit input/output strides,
 //! * random planner configurations via proptest (leaf caps below,
 //!   at and above the SIMD profitability threshold),
-//! * the `DDL_BACKEND` environment selection contract used by the CI
-//!   forced-path jobs.
+//! * the host selection contract: `DftPlan::new` runs `Simd` exactly
+//!   when the AVX2 kernels do.
 //!
 //! When `DDL_CONFORMANCE_REPORT` names a file, every checked case
 //! appends one JSON line (`backend`, `isa`, `n`, `regime`, view
@@ -28,6 +28,9 @@ use dynamic_data_layout::core::{simd_active_isa, BackendKind};
 use dynamic_data_layout::prelude::*;
 use proptest::prelude::*;
 use std::io::Write as _;
+
+/// The lowering under test; `Scalar` is the oracle it is checked against.
+const LOWERING: BackendKind = BackendKind::Simd;
 
 /// Deterministic, direction-asymmetric test signal.
 fn signal(n: usize, seed: u64) -> Vec<Complex64> {
@@ -69,7 +72,7 @@ const TINY: f64 = 1e-9;
 /// error-bound pass from the actual generated codelet DAGs (96 ulps at
 /// n=2 up to 945 at n=4096), so a regression that would have hidden
 /// under the folklore number now fails the suite.
-fn assert_close(kind: BackendKind, label: &str, got: &[Complex64], oracle: &[Complex64]) -> u64 {
+fn assert_close(label: &str, got: &[Complex64], oracle: &[Complex64]) -> u64 {
     let max_ulps = dynamic_data_layout::analyze::static_ulp_bound(got.len());
     let mut worst = 0u64;
     for (i, (g, o)) in got.iter().zip(oracle.iter()).enumerate() {
@@ -81,7 +84,7 @@ fn assert_close(kind: BackendKind, label: &str, got: &[Complex64], oracle: &[Com
             worst = worst.max(d);
             assert!(
                 d <= max_ulps,
-                "{label}: backend {kind} diverges from scalar oracle at point {i}: \
+                "{label}: backend {LOWERING} diverges from scalar oracle at point {i}: \
                  {gv:e} vs {ov:e} ({d} ulps > {max_ulps})"
             );
         }
@@ -91,7 +94,7 @@ fn assert_close(kind: BackendKind, label: &str, got: &[Complex64], oracle: &[Com
 
 /// Appends one JSON line per checked case when
 /// `DDL_CONFORMANCE_REPORT` is set (the CI artifact).
-fn report_case(backend: BackendKind, n: usize, regime: &str, geometry: &str, worst_ulps: u64) {
+fn report_case(n: usize, regime: &str, geometry: &str, worst_ulps: u64) {
     let Ok(path) = std::env::var("DDL_CONFORMANCE_REPORT") else {
         return;
     };
@@ -100,7 +103,7 @@ fn report_case(backend: BackendKind, n: usize, regime: &str, geometry: &str, wor
     }
     let line = format!(
         "{{\"backend\":\"{}\",\"isa\":\"{}\",\"n\":{},\"regime\":\"{}\",\"geometry\":\"{}\",\"worst_ulps\":{},\"ok\":true}}\n",
-        backend,
+        LOWERING,
         simd_active_isa(),
         n,
         regime,
@@ -117,20 +120,14 @@ fn report_case(backend: BackendKind, n: usize, regime: &str, geometry: &str, wor
 }
 
 /// Plans `n` under `cfg`, runs the same tree through the scalar oracle
-/// and `kind`, and pins agreement on a contiguous view.
-fn check_contiguous(
-    n: usize,
-    cfg: &PlannerConfig,
-    dir: Direction,
-    kind: BackendKind,
-    regime: &str,
-) {
+/// and [`LOWERING`], and pins agreement on a contiguous view.
+fn check_contiguous(n: usize, cfg: &PlannerConfig, dir: Direction, regime: &str) {
     let outcome = try_plan_dft(n, cfg).unwrap_or_else(|e| panic!("{regime} n={n}: {e}"));
     let oracle_plan = DftPlan::with_backend(outcome.tree.clone(), dir, BackendKind::Scalar)
         .unwrap_or_else(|e| panic!("{regime} n={n} scalar: {e}"));
-    let plan = DftPlan::with_backend(outcome.tree, dir, kind)
-        .unwrap_or_else(|e| panic!("{regime} n={n} {kind}: {e}"));
-    assert_eq!(plan.backend(), kind);
+    let plan = DftPlan::with_backend(outcome.tree, dir, LOWERING)
+        .unwrap_or_else(|e| panic!("{regime} n={n} {LOWERING}: {e}"));
+    assert_eq!(plan.backend(), LOWERING);
 
     let x = signal(n, 0x5eed ^ n as u64);
     let mut oracle = vec![Complex64::ZERO; n];
@@ -139,18 +136,17 @@ fn check_contiguous(
     plan.execute(&x, &mut got);
 
     let label = format!("{regime} n={n} {dir:?}");
-    let worst = assert_close(kind, &label, &got, &oracle);
-    report_case(kind, n, regime, "base=0 stride=1", worst);
+    let worst = assert_close(&label, &got, &oracle);
+    report_case(n, regime, "base=0 stride=1", worst);
 }
 
-/// Same tree through oracle and `kind`, but on misaligned strided
+/// Same tree through oracle and [`LOWERING`], but on misaligned strided
 /// views: odd bases and non-unit strides on both sides.
 #[allow(clippy::too_many_arguments)]
 fn check_strided(
     n: usize,
     cfg: &PlannerConfig,
     dir: Direction,
-    kind: BackendKind,
     in_base: usize,
     in_stride: usize,
     out_base: usize,
@@ -160,8 +156,8 @@ fn check_strided(
     let outcome = try_plan_dft(n, cfg).unwrap_or_else(|e| panic!("{regime} n={n}: {e}"));
     let oracle_plan = DftPlan::with_backend(outcome.tree.clone(), dir, BackendKind::Scalar)
         .unwrap_or_else(|e| panic!("{regime} n={n} scalar: {e}"));
-    let plan = DftPlan::with_backend(outcome.tree, dir, kind)
-        .unwrap_or_else(|e| panic!("{regime} n={n} {kind}: {e}"));
+    let plan = DftPlan::with_backend(outcome.tree, dir, LOWERING)
+        .unwrap_or_else(|e| panic!("{regime} n={n} {LOWERING}: {e}"));
 
     let in_len = in_base + (n - 1) * in_stride + 1;
     let out_len = out_base + (n - 1) * out_stride + 1;
@@ -207,7 +203,7 @@ fn check_strided(
         if !stride_hits.contains(&idx) {
             assert_eq!(
                 *v, sentinel,
-                "{regime} n={n} {kind}: backend wrote outside its strided view at {idx}"
+                "{regime} n={n} {LOWERING}: backend wrote outside its strided view at {idx}"
             );
         }
     }
@@ -215,9 +211,8 @@ fn check_strided(
     let label = format!(
         "{regime} n={n} {dir:?} view in=({in_base},{in_stride}) out=({out_base},{out_stride})"
     );
-    let worst = assert_close(kind, &label, &on_got, &on_oracle);
+    let worst = assert_close(&label, &on_got, &on_oracle);
     report_case(
-        kind,
         n,
         regime,
         &format!(
@@ -258,9 +253,7 @@ fn all_backends_match_scalar_across_sizes_and_regimes() {
         for log_n in 1..=12 {
             let n = 1usize << log_n;
             for dir in [Direction::Forward, Direction::Inverse] {
-                for kind in [BackendKind::Interp, BackendKind::Simd] {
-                    check_contiguous(n, &cfg, dir, kind, regime);
-                }
+                check_contiguous(n, &cfg, dir, regime);
             }
         }
     }
@@ -269,12 +262,13 @@ fn all_backends_match_scalar_across_sizes_and_regimes() {
 #[test]
 fn simd_matches_scalar_at_transition_sizes() {
     // Around the profitability threshold and the fused-stage boundaries
-    // of the AVX2 kernel, forward and inverse, at a size large enough
-    // that ctddl reorganization appears with the default config.
+    // of the AVX2 kernel, forward and inverse, at sizes large enough
+    // that ctddl reorganization appears with the default config — up to
+    // 2^20, where the repo benchmark runs the default (SIMD) lowering.
     let cfg = PlannerConfig::ddl_analytical();
-    for n in [1usize << 13, 1 << 14, 1 << 16] {
+    for n in [1usize << 13, 1 << 14, 1 << 16, 1 << 18, 1 << 20] {
         for dir in [Direction::Forward, Direction::Inverse] {
-            check_contiguous(n, &cfg, dir, BackendKind::Simd, "ddl-large");
+            check_contiguous(n, &cfg, dir, "ddl-large");
         }
     }
 }
@@ -289,22 +283,20 @@ fn backends_match_on_misaligned_strided_views() {
         ("sdl", PlannerConfig::sdl_analytical()),
     ] {
         for n in [8usize, 64, 256, 1024] {
-            for kind in [BackendKind::Interp, BackendKind::Simd] {
-                check_strided(n, &cfg, Direction::Forward, kind, 3, 2, 5, 3, regime);
-                check_strided(n, &cfg, Direction::Inverse, kind, 1, 3, 7, 2, regime);
-            }
+            check_strided(n, &cfg, Direction::Forward, 3, 2, 5, 3, regime);
+            check_strided(n, &cfg, Direction::Inverse, 1, 3, 7, 2, regime);
         }
     }
 }
 
 #[test]
-fn selected_backend_honors_ddl_backend_env() {
-    // The CI forced-path jobs run this suite with DDL_BACKEND set to
-    // each label; in those processes the cached selection must be the
-    // forced backend. Unset (the default dev run) must mean Scalar.
-    let expect = match std::env::var("DDL_BACKEND") {
-        Ok(v) => BackendKind::parse(v.trim()).unwrap_or(BackendKind::Scalar),
-        Err(_) => BackendKind::Scalar,
+fn selected_backend_follows_the_host_isa() {
+    // The lowering is a fact of the host: SIMD exactly when the AVX2
+    // kernels run here, the scalar codelets otherwise.
+    let expect = if simd_active_isa() == "avx2" {
+        BackendKind::Simd
+    } else {
+        BackendKind::Scalar
     };
     assert_eq!(BackendKind::selected(), expect);
     // And the default constructor routes through the selection.
@@ -321,16 +313,15 @@ fn simd_isa_is_one_of_the_known_lowerings() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random planner configuration x backend x view geometry: the
-    /// conformance bound holds for any tree the planner can emit, on
-    /// any supported view.
+    /// Random planner configuration x view geometry: the conformance
+    /// bound holds for any tree the planner can emit, on any supported
+    /// view.
     #[test]
     fn random_plans_conform_on_random_views(
         log_n in 1u32..=10,
         max_leaf in prop::sample::select(vec![4usize, 16, 32, 64]),
         ddl in any::<bool>(),
         cache_points in prop::sample::select(vec![64usize, 1024, 16384]),
-        backend_simd in any::<bool>(),
         in_base in 0usize..4,
         in_stride in 1usize..4,
         out_base in 0usize..4,
@@ -344,8 +335,7 @@ proptest! {
             PlannerConfig::sdl_analytical()
         };
         let cfg = PlannerConfig { max_leaf, cache_points, ..base };
-        let kind = if backend_simd { BackendKind::Simd } else { BackendKind::Interp };
         let dir = if inverse { Direction::Inverse } else { Direction::Forward };
-        check_strided(n, &cfg, dir, kind, in_base, in_stride, out_base, out_stride, "prop");
+        check_strided(n, &cfg, dir, in_base, in_stride, out_base, out_stride, "prop");
     }
 }
